@@ -43,11 +43,13 @@ lint-sweep: bin/relidevlint
 
 # fuzz-smoke gives each property fuzzer a short budget — enough to shake
 # out regressions in the quorum arithmetic, the was-available closure,
-# and the chaos payload codec without stalling CI.
+# the chaos payload codec and the TCP frame decoders without stalling
+# CI.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzVersionQuorum -fuzztime=$(FUZZTIME) ./internal/voting
 	$(GO) test -run=NONE -fuzz=FuzzClosure -fuzztime=$(FUZZTIME) ./internal/availcopy
 	$(GO) test -run=NONE -fuzz=FuzzPayloadRoundTrip -fuzztime=$(FUZZTIME) ./internal/chaos
+	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/rpcnet
 
 # repair-race hammers the background repairer's concurrency surface:
 # foreground writes racing repair installs, mid-stream donor failover,

@@ -1,10 +1,11 @@
 // Fixtures for wirecheck: every request/reply type must have a
-// WireSize case, a gob registration, and (requests) a KindOps entry.
+// WireSize case, a case in the AppendMessage encode switch, and
+// (requests) a KindOps entry.
 package protocol
 
-import "encoding/gob"
+import "errors"
 
-// ok: fully wired — sized, registered, and priced.
+// ok: fully wired — sized, encoded, and priced.
 type VoteRequest struct{ Block uint32 }
 
 func (VoteRequest) Kind() string { return "vote" }
@@ -14,12 +15,12 @@ type VoteReply struct{ Version uint64 }
 func (VoteReply) RespKind() string { return "vote-reply" }
 
 // A new RPC that skips every registry: its traffic would ride the wire
-// unsized, undecodable, and invisible to the §5 pricing tables.
-type PingRequest struct{} // want "no WireSize case" "not registered in RegisterGob" "missing from the KindOps"
+// unsized, unencodable, and invisible to the §5 pricing tables.
+type PingRequest struct{} // want "no WireSize case" "no case in the AppendMessage encode switch" "missing from the KindOps"
 
 func (PingRequest) Kind() string { return "ping" }
 
-// A reply that is registered but never priced undercounts as a bare
+// A reply that is encoded but never priced undercounts as a bare
 // header in the byte accounting.
 type PongReply struct{} // want "no WireSize case"
 
@@ -38,10 +39,17 @@ func WireSize(msg interface{}) int {
 	}
 }
 
-func RegisterGob() {
-	gob.Register(VoteRequest{})
-	gob.Register(VoteReply{})
-	gob.Register(PongReply{})
+func AppendMessage(b []byte, msg interface{}) ([]byte, error) {
+	switch m := msg.(type) {
+	case VoteRequest:
+		return append(b, byte(m.Block)), nil
+	case VoteReply:
+		return append(b, byte(m.Version)), nil
+	case PongReply:
+		return b, nil
+	default:
+		return b, errors.New("not a protocol message")
+	}
 }
 
 var KindOps = map[string][]string{

@@ -10,18 +10,19 @@ import (
 // WireCheck closes the protocol surface: every request/reply type the
 // cluster can put on the wire must be visible to the three registries
 // that keep the §5 traffic model honest. A new RPC that skips any of
-// them "works" — gob ships what it's told, WireSize falls back to a
-// bare header, the transport buckets the traffic as unpriced — and
-// silently skews the byte accounting and the conformance checker's
-// cost comparison against the paper's tables.
+// them fails late or silently — rpcnet refuses to send it, WireSize
+// falls back to a bare header, the transport buckets the traffic as
+// unpriced — and skews the byte accounting and the conformance
+// checker's cost comparison against the paper's tables.
 //
 // Within the protocol package it checks that every struct type with a
 // Kind() (request) or RespKind() (reply) method:
 //
 //  1. has a case in the WireSize type switch, so simnet's byte-level
 //     §5 accounting prices it instead of counting a bare header;
-//  2. is registered in RegisterGob, so rpcnet can ship it as an
-//     interface value;
+//  2. has a case in the type switch of the AppendMessage wire codec,
+//     so rpcnet can put it on the wire (the codec's decode switch is
+//     keyed by kind tag and checked by the codec conformance test);
 //  3. (requests) has its kind string in the KindOps pricing table
 //     that maps each request kind to the §5 operation classes whose
 //     cost formulas cover its traffic — the conformance checker
@@ -34,7 +35,7 @@ var WireCheck = &Analyzer{
 	Name:  "wirecheck",
 	Topic: "wire",
 	Doc: "every protocol request/reply type must be priced in WireSize, " +
-		"registered in RegisterGob, and (requests) mapped in the KindOps " +
+		"encoded by AppendMessage, and (requests) mapped in the KindOps " +
 		"§5 pricing table",
 	Run: runWireCheck,
 }
@@ -55,16 +56,16 @@ func runWireCheck(p *Pass) {
 		return
 	}
 
-	sized, haveWireSize := wireSizeCases(p)
-	registered, haveRegister := gobRegistrations(p)
+	sized, haveWireSize := typeSwitchCases(p, "WireSize")
+	encoded, haveCodec := typeSwitchCases(p, "AppendMessage")
 	priced, kindKeys, haveKindOps := kindOpsKeys(p)
 
 	first := msgs[0].name.Pos()
 	if !haveWireSize {
 		p.Reportf(first, "package declares protocol messages but no WireSize function: simnet's §5 byte accounting cannot price them")
 	}
-	if !haveRegister {
-		p.Reportf(first, "package declares protocol messages but no RegisterGob function: rpcnet cannot ship them as interface values")
+	if !haveCodec {
+		p.Reportf(first, "package declares protocol messages but no AppendMessage codec: rpcnet cannot put them on the wire")
 	}
 	if !haveKindOps {
 		p.Reportf(first, "package declares protocol messages but no KindOps pricing table: the §5 conformance checker cannot attribute their traffic")
@@ -75,9 +76,9 @@ func runWireCheck(p *Pass) {
 			p.Reportf(m.name.Pos(),
 				"protocol message %s has no WireSize case: §5 byte accounting will undercount it as a bare header", m.name.Name())
 		}
-		if haveRegister && !registered[m.name] {
+		if haveCodec && !encoded[m.name] {
 			p.Reportf(m.name.Pos(),
-				"protocol message %s is not registered in RegisterGob: rpcnet cannot decode it off the wire", m.name.Name())
+				"protocol message %s has no case in the AppendMessage encode switch: rpcnet cannot put it on the wire", m.name.Name())
 		}
 		if m.request && haveKindOps {
 			if m.kind == "" {
@@ -172,11 +173,12 @@ func kindLiterals(p *Pass) map[string]string {
 	return lits
 }
 
-// wireSizeCases collects the named types that appear as cases of the
-// type switch inside the package's WireSize function.
-func wireSizeCases(p *Pass) (map[*types.TypeName]bool, bool) {
+// typeSwitchCases collects the named types that appear as cases of the
+// type switch inside the package's function of the given name
+// (WireSize, AppendMessage).
+func typeSwitchCases(p *Pass, fn string) (map[*types.TypeName]bool, bool) {
 	cases := make(map[*types.TypeName]bool)
-	fd := findFuncDecl(p, "WireSize")
+	fd := findFuncDecl(p, fn)
 	if fd == nil {
 		return nil, false
 	}
@@ -200,38 +202,6 @@ func wireSizeCases(p *Pass) (map[*types.TypeName]bool, bool) {
 		return true
 	})
 	return cases, true
-}
-
-// gobRegistrations collects the named types registered by the
-// package's RegisterGob function via gob.Register(T{}) calls.
-func gobRegistrations(p *Pass) (map[*types.TypeName]bool, bool) {
-	regs := make(map[*types.TypeName]bool)
-	fd := findFuncDecl(p, "RegisterGob")
-	if fd == nil {
-		return nil, false
-	}
-	ast.Inspect(fd, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		fn := calleeOf(p.Info, call)
-		if fn == nil || fn.Name() != "Register" || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/gob" {
-			return true
-		}
-		t := p.Info.TypeOf(call.Args[0])
-		if t == nil {
-			return true
-		}
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			regs[named.Obj()] = true
-		}
-		return true
-	})
-	return regs, true
 }
 
 // kindKey is one string key of the KindOps map literal.

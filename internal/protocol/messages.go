@@ -1,10 +1,6 @@
 package protocol
 
-import (
-	"encoding/gob"
-
-	"relidev/internal/block"
-)
+import "relidev/internal/block"
 
 // VoteRequest asks a site for its vote on one block (Figures 3 and 4):
 // the site answers with the block's version number and the weight
@@ -281,29 +277,3 @@ type TelemetryPullReply struct {
 
 // RespKind implements Response.
 func (TelemetryPullReply) RespKind() string { return "telemetry-pull-reply" }
-
-// RegisterGob registers all protocol messages with encoding/gob so that
-// rpcnet can ship them as interface values. Safe to call more than once
-// only from a single init path; rpcnet calls it exactly once.
-func RegisterGob() {
-	gob.Register(VoteRequest{})
-	gob.Register(VoteReply{})
-	gob.Register(FetchRequest{})
-	gob.Register(FetchReply{})
-	gob.Register(PutRequest{})
-	gob.Register(PutReply{})
-	gob.Register(PrepareWriteRequest{})
-	gob.Register(PrepareWriteReply{})
-	gob.Register(AbortWriteRequest{})
-	gob.Register(AbortWriteReply{})
-	gob.Register(StatusRequest{})
-	gob.Register(StatusReply{})
-	gob.Register(RecoveryRequest{})
-	gob.Register(RecoveryReply{})
-	gob.Register(RepairSummaryRequest{})
-	gob.Register(RepairSummaryReply{})
-	gob.Register(RepairFetchRequest{})
-	gob.Register(RepairFetchReply{})
-	gob.Register(TelemetryPullRequest{})
-	gob.Register(TelemetryPullReply{})
-}

@@ -6,7 +6,9 @@
 //
 // Two transports implement the interface: simnet (in-process simulated
 // network, with the exact high-level transmission accounting of paper §5)
-// and rpcnet (TCP + gob between real server processes).
+// and rpcnet (TCP between real server processes). The package also owns
+// the one wire encoding of its messages (codec.go), whose length is
+// exactly the WireSize byte price simnet charges.
 package protocol
 
 import (

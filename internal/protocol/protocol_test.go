@@ -161,13 +161,6 @@ func TestSiteIDString(t *testing.T) {
 	}
 }
 
-func TestRegisterGobIdempotent(t *testing.T) {
-	// Registering twice must not panic (gob.Register panics on
-	// conflicting duplicates; identical re-registration is permitted).
-	RegisterGob()
-	RegisterGob()
-}
-
 func TestWireSizeCoversEveryMessage(t *testing.T) {
 	msgs := []interface{}{
 		VoteRequest{}, VoteReply{}, FetchRequest{},

@@ -1,18 +1,19 @@
 package protocol
 
-// WireSize estimates the payload size in bytes of a protocol message on
-// the wire, used by simnet's byte-level traffic accounting. §5 notes
-// that accounting by message *size* instead of message *count* yields
-// similar, slightly less pronounced differences between the schemes —
-// block transfers dominate and every scheme ships roughly the same
-// blocks; the byte counters let experiments verify that claim.
+// WireSize returns the exact length in bytes of the wire encoding of a
+// protocol message (AppendMessage), used by simnet's byte-level traffic
+// accounting. §5 notes that accounting by message *size* instead of
+// message *count* yields similar, slightly less pronounced differences
+// between the schemes — block transfers dominate and every scheme ships
+// roughly the same blocks; the byte counters let experiments verify
+// that claim, and since rpcnet sends exactly these bytes they price
+// the real wire, not a model of it. rpcnet's own frame and exchange
+// envelope (sender, trace context, error) are transport overhead and
+// are not counted.
 //
-// Sizes are the natural fixed-width encodings plus an 8-byte header per
-// message; exact framing constants do not matter for the comparisons.
-const wireHeader = 8
-
-// WireSize returns the estimated size of req or resp in bytes. Unknown
-// message types count as a bare header.
+// WireSize is arithmetic over field widths and lengths; it never
+// encodes. Every message carries the 8-byte header described in
+// codec.go. Unknown message types count as a bare header.
 func WireSize(msg interface{}) int {
 	switch m := msg.(type) {
 	case VoteRequest:
@@ -42,11 +43,9 @@ func WireSize(msg interface{}) int {
 	case RecoveryRequest:
 		return wireHeader + 1 + 8*len(m.Vector) + 4 + 4
 	case RecoveryReply:
-		size := wireHeader + 8 + 1 + 4 + 8*len(m.Vector)
-		for _, b := range m.Blocks {
-			size += 12 + len(b.Data)
-		}
-		return size
+		// The vector is followed by the blocks, so it carries a 4-byte
+		// count; each block carries a 4-byte data length.
+		return wireHeader + 8 + 1 + 4 + 4 + 8*len(m.Vector) + blockCopiesSize(m.Blocks)
 	case RepairSummaryRequest:
 		return wireHeader
 	case RepairSummaryReply:
@@ -54,11 +53,7 @@ func WireSize(msg interface{}) int {
 	case RepairFetchRequest:
 		return wireHeader + 12*len(m.Wants)
 	case RepairFetchReply:
-		size := wireHeader
-		for _, b := range m.Blocks {
-			size += 12 + len(b.Data)
-		}
-		return size
+		return wireHeader + blockCopiesSize(m.Blocks)
 	case TelemetryPullRequest:
 		return wireHeader
 	case TelemetryPullReply:
@@ -66,4 +61,14 @@ func WireSize(msg interface{}) int {
 	default:
 		return wireHeader
 	}
+}
+
+// blockCopiesSize is the encoded size of a block list: index, version
+// and data length per copy, then the data.
+func blockCopiesSize(blocks []BlockCopy) int {
+	size := 0
+	for _, b := range blocks {
+		size += 4 + 8 + 4 + len(b.Data)
+	}
+	return size
 }

@@ -1,6 +1,6 @@
-// Package rpcnet carries the inter-site protocol over TCP with gob
-// encoding, turning the reliable device into what the paper actually
-// describes: "a set of server processes on several sites" (§1).
+// Package rpcnet carries the inter-site protocol over TCP, turning the
+// reliable device into what the paper actually describes: "a set of
+// server processes on several sites" (§1).
 //
 // A Server exposes one replica's protocol handler on a TCP address; a
 // Client implements protocol.Transport against a map of peer addresses.
@@ -8,7 +8,15 @@
 // run unchanged over rpcnet — transports are interchangeable.
 //
 // Unlike simnet, rpcnet does not meter §5 transmission counts (a real
-// network's cost is measured, not modelled).
+// network's cost is measured, not modelled). Messages travel in the
+// protocol package's binary codec, so each one occupies exactly the
+// protocol.WireSize bytes that simnet charges for it; rpcnet adds only
+// a length-prefixed frame and the exchange envelope (sender, trace
+// context, error code and text). Each exchange is one write of a reused
+// buffer and one buffered frame read on each side. Frames are bounded
+// by a constant and anything malformed closes the connection. Sites on
+// different codec versions cannot talk to each other, so a cluster
+// upgrades together.
 //
 // A real wire, unlike the paper's reliable network, produces failures
 // that do not mean the peer is down: a pooled connection gone stale, a
@@ -25,7 +33,6 @@ package rpcnet
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -66,23 +73,7 @@ func init() {
 	})
 }
 
-type rpcRequest struct {
-	From protocol.SiteID
-	Req  protocol.Request
-	// Trace carries the caller's span context across the wire so the
-	// remote site's trace ring records causally-linked spans (zero when
-	// the caller is untraced). TraceID/SpanID only — no payload, so the
-	// field costs 16 bytes per request.
-	Trace protocol.SpanContext
-}
-
-type rpcResponse struct {
-	Resp    protocol.Response
-	ErrCode int
-	ErrText string
-}
-
-func encodeErr(err error) (int, string) {
+func encodeErr(err error) (byte, string) {
 	switch {
 	case err == nil:
 		return errNone, ""
@@ -95,7 +86,7 @@ func encodeErr(err error) (int, string) {
 	}
 }
 
-func decodeErr(code int, text string) error {
+func decodeErr(code byte, text string) error {
 	switch code {
 	case errNone:
 		return nil
@@ -106,12 +97,6 @@ func decodeErr(code int, text string) error {
 	default:
 		return fmt.Errorf("%s: %w", text, ErrRemote)
 	}
-}
-
-var registerOnce sync.Once
-
-func registerWire() {
-	registerOnce.Do(protocol.RegisterGob)
 }
 
 // Server exposes a protocol handler on a TCP listener.
@@ -131,7 +116,6 @@ func Serve(addr string, h protocol.Handler) (*Server, error) {
 	if h == nil {
 		return nil, errors.New("rpcnet: nil handler")
 	}
-	registerWire()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpcnet: listen %s: %w", addr, err)
@@ -191,12 +175,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	w := newWireConn(conn)
 	for {
-		var req rpcRequest
-		if err := dec.Decode(&req); err != nil {
-			return // connection closed or corrupt
+		p, err := w.readFrame()
+		if err != nil {
+			return // connection closed, or an oversize frame
+		}
+		req, err := decodeRequest(p)
+		if err != nil {
+			return // not a well-formed request: drop the peer
 		}
 		// The caller's deadline does not cross the wire (the caller
 		// abandons the exchange on its own clock); what does cross is the
@@ -209,10 +196,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		resp, err := s.handler.Handle(ctx, req.From, req.Req)
 		code, text := encodeErr(err)
-		out := rpcResponse{Resp: resp, ErrCode: code, ErrText: text}
-		if err := enc.Encode(out); err != nil {
+		frame, err := rpcResponse{Resp: resp, ErrCode: code, ErrText: text}.appendFrame(w.wbuf[:0])
+		if err != nil {
+			// A reply that cannot be framed (past maxFrame) is answered
+			// with the reason, so the caller gets a remote error instead
+			// of a dead stream. The reason alone always fits a frame.
+			frame, _ = rpcResponse{ErrCode: errGeneric, ErrText: err.Error()}.appendFrame(w.wbuf[:0])
+		}
+		w.wbuf = frame
+		if _, err := conn.Write(frame); err != nil {
 			return
 		}
+		w.release()
 	}
 }
 
@@ -315,18 +310,6 @@ type peerPool struct {
 	backoff     time.Duration
 	nextDialAt  time.Time
 	firstFailAt time.Time
-}
-
-// wireConn is one gob-encoded TCP stream. It is used by one round trip
-// at a time; the gob codec state lives with the connection.
-type wireConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-func (w *wireConn) close() {
-	w.conn.Close()
 }
 
 // get pops an idle connection, or returns nil when the caller must dial.
@@ -466,7 +449,6 @@ func NewClientConfig(self protocol.SiteID, addrs map[protocol.SiteID]string, cfg
 	if len(addrs) == 0 {
 		return nil, errors.New("rpcnet: client needs peer addresses")
 	}
-	registerWire()
 	m := make(map[protocol.SiteID]string, len(addrs))
 	for id, a := range addrs {
 		m[id] = a
@@ -576,19 +558,26 @@ func (c *Client) peer(to protocol.SiteID) (*peerPool, error) {
 	return p, nil
 }
 
-// exchange runs one request/response on an established connection. On
-// success the connection returns to the pool; on error it is closed.
-func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time, req protocol.Request, trace protocol.SpanContext) (rpcResponse, error) {
+// exchange sends the request frame already encoded in w.wbuf and reads
+// the response. On success the connection returns to the pool; on
+// error, a malformed response included, it is closed.
+func (c *Client) exchange(p *peerPool, w *wireConn, deadline time.Time) (rpcResponse, error) {
 	w.conn.SetDeadline(deadline)
-	if err := w.enc.Encode(rpcRequest{From: c.self, Req: req, Trace: trace}); err != nil {
+	if _, err := w.conn.Write(w.wbuf); err != nil {
 		w.close()
 		return rpcResponse{}, fmt.Errorf("send: %w", err)
 	}
-	var resp rpcResponse
-	if err := w.dec.Decode(&resp); err != nil {
+	frame, err := w.readFrame()
+	if err != nil {
 		w.close()
 		return rpcResponse{}, fmt.Errorf("receive: %w", err)
 	}
+	resp, err := decodeResponse(frame)
+	if err != nil {
+		w.close()
+		return rpcResponse{}, fmt.Errorf("receive: %w", err)
+	}
+	w.release()
 	p.put(w)
 	return resp, nil
 }
@@ -612,7 +601,7 @@ func (c *Client) dial(ctx context.Context, p *peerPool, to protocol.SiteID, dead
 	if err != nil {
 		return nil, c.fault(ctx, p, to, "dial", false, err)
 	}
-	return &wireConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return newWireConn(conn), nil
 }
 
 // fault classifies one failed dial or exchange. Context cancellation is
@@ -682,25 +671,32 @@ func (c *Client) roundTrip(ctx context.Context, to protocol.SiteID, req protocol
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	trace := protocol.CtxSpan(ctx)
+	rq := rpcRequest{From: c.self, Req: req, Trace: protocol.CtxSpan(ctx)}
 	var resp rpcResponse
-	done := false
-	if w := p.get(); w != nil {
-		if resp, err = c.exchange(p, w, deadline, req, trace); err == nil {
-			done = true
+	w := p.get()
+	pooled := w != nil
+	for {
+		if w == nil {
+			if w, err = c.dial(ctx, p, to, deadline); err != nil {
+				return nil, err
+			}
 		}
-		// On error: fall through to one fresh-dial retry.
-	}
-	if !done {
-		w, err := c.dial(ctx, p, to, deadline)
-		if err != nil {
-			return nil, err
+		if w.wbuf, err = rq.appendFrame(w.wbuf[:0]); err != nil {
+			// Nothing was sent: the request itself cannot be framed.
+			p.put(w)
+			return nil, fmt.Errorf("rpcnet: call to %v: %w", to, err)
 		}
-		if resp, err = c.exchange(p, w, deadline, req, trace); err != nil {
+		if resp, err = c.exchange(p, w, deadline); err == nil {
+			break
+		}
+		if !pooled {
 			// The dial above succeeded, so this stream was established
 			// and then broke: classify as severed.
 			return nil, c.fault(ctx, p, to, "exchange with", true, err)
 		}
+		// A pooled stream may have gone stale while idle: retry once on
+		// a fresh dial.
+		w, pooled = nil, false
 	}
 	if p.recordSuccess(c.cfg.SuspectThreshold) {
 		c.notifyDetector(to, false, c.now())

@@ -118,6 +118,57 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	if !replicas[1].WasAvailable().Has(0) {
 		t.Fatal("JoinW did not reach the server replica")
 	}
+
+	// Fast write path: stage version 6, then abort it back to 5.
+	resp, err = cli.Call(ctx, 0, 1, protocol.PrepareWriteRequest{Block: 2, Data: pad("fast"), Version: 6})
+	if err != nil {
+		t.Fatalf("prepare-write: %v", err)
+	}
+	if pw := resp.(protocol.PrepareWriteReply); pw.Version != 5 || !pw.Staged || pw.State != protocol.StateAvailable {
+		t.Fatalf("prepare-write reply = %+v", pw)
+	}
+	if _, err := cli.Call(ctx, 0, 1, protocol.AbortWriteRequest{Block: 2, Version: 6}); err != nil {
+		t.Fatalf("abort-write: %v", err)
+	}
+	if data, ver, err := replicas[1].ReadLocal(2); err != nil || ver != 5 || string(data[:3]) != "tcp" {
+		t.Fatalf("after abort: %q@%v, %v; want the pre-image back", data, ver, err)
+	}
+
+	// Anti-entropy stream: summary, then one page.
+	resp, err = cli.Call(ctx, 0, 1, protocol.RepairSummaryRequest{})
+	if err != nil {
+		t.Fatalf("repair-summary: %v", err)
+	}
+	if rs := resp.(protocol.RepairSummaryReply); len(rs.Vector) != testGeom.NumBlocks || rs.Vector[2] != 5 {
+		t.Fatalf("repair-summary reply = %+v", rs)
+	}
+	resp, err = cli.Fetch(ctx, 0, 1, protocol.RepairFetchRequest{
+		Wants: []protocol.BlockWant{{Index: 2, MinVersion: 5}, {Index: 3, MinVersion: 1}},
+	})
+	if err != nil {
+		t.Fatalf("repair-fetch: %v", err)
+	}
+	if rf := resp.(protocol.RepairFetchReply); len(rf.Blocks) != 1 || rf.Blocks[0].Index != 2 || string(rf.Blocks[0].Data[:3]) != "tcp" {
+		t.Fatalf("repair-fetch reply blocks = %v", rf.Blocks)
+	}
+
+	// Telemetry scrape: without a hook the snapshot is empty, with one
+	// it crosses the wire byte for byte.
+	resp, err = cli.Call(ctx, 0, 1, protocol.TelemetryPullRequest{})
+	if err != nil {
+		t.Fatalf("telemetry-pull: %v", err)
+	}
+	if tp := resp.(protocol.TelemetryPullReply); tp.Snap != nil {
+		t.Fatalf("telemetry-pull without a hook = %q, want nil", tp.Snap)
+	}
+	replicas[1].SetTelemetryHook(func() []byte { return []byte(`{"site":1}`) })
+	resp, err = cli.Call(ctx, 0, 1, protocol.TelemetryPullRequest{})
+	if err != nil {
+		t.Fatalf("telemetry-pull: %v", err)
+	}
+	if tp := resp.(protocol.TelemetryPullReply); string(tp.Snap) != `{"site":1}` {
+		t.Fatalf("telemetry-pull reply = %q", tp.Snap)
+	}
 }
 
 func TestSentinelErrorsCrossTheWire(t *testing.T) {

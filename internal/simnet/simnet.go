@@ -73,9 +73,11 @@ type Stats struct {
 	Requests uint64
 	// Replies counts transmissions that carried a reply.
 	Replies uint64
-	// Bytes is the total estimated wire volume of all transmissions. A
-	// multicast transmission's payload is charged once regardless of how
-	// many sites receive it; unique addressing charges per destination.
+	// Bytes is the total wire volume of all transmissions: each message
+	// counts protocol.WireSize bytes, the exact length of its encoding
+	// on rpcnet. A multicast transmission's payload is charged once
+	// regardless of how many sites receive it; unique addressing charges
+	// per destination.
 	Bytes uint64
 	// ByKind breaks down request transmissions by request kind.
 	ByKind map[string]uint64

@@ -449,7 +449,8 @@ type TrafficStats struct {
 	Transmissions uint64
 	// Requests and Replies split the total by direction.
 	Requests, Replies uint64
-	// Bytes is the estimated total wire volume.
+	// Bytes is the total wire volume: the encoded length of every
+	// message transmitted (rpcnet's framing not included).
 	Bytes uint64
 }
 
