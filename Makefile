@@ -78,7 +78,11 @@ chaos-short:
 
 # obs-race hammers the new observability surfaces — the health engine's
 # hysteresis state machines and the flight recorder's ring — under the
-# race detector, alongside the phase-attribution integration tests.
+# race detector, alongside the phase-attribution integration tests. The
+# last line runs the histogram sharding, allocation and remote-site
+# tests on four Ps even on a single-core machine, where shard collapse
+# and the telemetry poller's shutdown race would otherwise stay hidden.
 obs-race:
 	$(GO) test -race ./internal/obs/...
 	$(GO) test -race -run 'TestHealthSurface|TestCriticalPathSurface|TestRemoteObservabilitySurface' .
+	GOMAXPROCS=4 $(GO) test -race -count=2 -run 'Histogram|Shard|Alloc|TestRemote' ./internal/obs/ .

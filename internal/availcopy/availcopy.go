@@ -142,7 +142,6 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 		return fmt.Errorf("available copy write of %v at %v (%v): %w",
 			idx, self.ID(), self.State(), scheme.ErrNotAvailable)
 	}
-	ctx = ob.Label(ctx, protocol.OpWrite)
 	ctx, sp := ob.StartOp(ctx, protocol.OpWrite, int64(idx))
 	sp.AddLockWait(lockWait)
 	participants := 0
@@ -236,7 +235,6 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 		return nil
 	}
 	self.SetState(protocol.StateComatose)
-	ctx = ob.Label(ctx, protocol.OpRecovery)
 	ctx, sp := ob.StartOp(ctx, protocol.OpRecovery, obs.NoBlock)
 	sp.AddLockWait(lockWait)
 	participants := 0

@@ -84,7 +84,6 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 		return fmt.Errorf("naive write of %v at %v (%v): %w",
 			idx, self.ID(), self.State(), scheme.ErrNotAvailable)
 	}
-	ctx = ob.Label(ctx, protocol.OpWrite)
 	ctx, sp := ob.StartOp(ctx, protocol.OpWrite, int64(idx))
 	sp.AddLockWait(lockWait)
 	defer func() { sp.Done(1, err) }()
@@ -118,7 +117,6 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 		return nil
 	}
 	self.SetState(protocol.StateComatose)
-	ctx = ob.Label(ctx, protocol.OpRecovery)
 	ctx, sp := ob.StartOp(ctx, protocol.OpRecovery, obs.NoBlock)
 	sp.AddLockWait(lockWait)
 	participants := 0

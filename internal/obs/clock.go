@@ -12,13 +12,26 @@ import (
 // wall clock, so enabling tracing cannot perturb a replay digest.
 type Clock func() int64
 
-// WallClock reads the real time. It is the right clock for live
-// servers (blockserver) and throughput benchmarks, and the wrong one
-// for anything replay-deterministic — detcheck forbids further
-// wall-clock reads anywhere else in this package.
+// wallAnchor is the process's wall-clock anchor: WallClock reports
+// wallAnchorNs plus the monotonic time elapsed since it.
+var (
+	//relidev:allow nondeterminism: the anchor of the one sanctioned wall-clock source; replay-deterministic harnesses inject a LogicalClock instead
+	wallAnchor   = time.Now()
+	wallAnchorNs = wallAnchor.UnixNano()
+)
+
+// WallClock reads the real time in Unix nanoseconds. It is the right
+// clock for live servers (blockserver) and throughput benchmarks, and
+// the wrong one for anything replay-deterministic — detcheck forbids
+// further wall-clock reads anywhere else in this package.
+//
+// A reading is the process's wall anchor plus the monotonic time since
+// it: one monotonic clock read where time.Now takes two (wall and
+// monotonic). Readings never step backwards; they follow the anchor's
+// wall time and do not pick up later adjustments of the system clock.
 func WallClock() int64 {
 	//relidev:allow nondeterminism: the one sanctioned wall-clock source; replay-deterministic harnesses inject a LogicalClock instead of this
-	return time.Now().UnixNano()
+	return wallAnchorNs + int64(time.Since(wallAnchor))
 }
 
 // LogicalClock is a deterministic Clock: every reading advances an

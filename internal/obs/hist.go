@@ -14,9 +14,10 @@ import (
 // histogram is a flat block of atomics with no allocation on the
 // record path.
 const (
-	histShards  = 8
-	histBuckets = 28
-	bucketBase  = 1024 // ns upper bound of bucket 0
+	histShardBits = 3
+	histShards    = 1 << histShardBits
+	histBuckets   = 28
+	bucketBase    = 1024 // ns upper bound of bucket 0
 )
 
 // A BucketCount is one histogram bucket in a snapshot. UpperNs is the
@@ -27,20 +28,21 @@ type BucketCount struct {
 }
 
 // histShard is one shard's counters, padded to its own cache lines so
-// concurrent recorders on different shards do not false-share.
+// concurrent recorders on different shards do not false-share. The
+// shard's observation count is the sum of its buckets, so recording
+// takes two atomic adds.
 type histShard struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
-	_       [64 - (2+histBuckets)*8%64]byte
+	_       [64 - (1+histBuckets)*8%64]byte
 }
 
 // A Histogram records latency observations into bounded exponential
-// buckets, sharded like simnet's §5 counters: recorders pick a shard
-// from their own stack address (goroutines live on distinct stacks, so
-// concurrent recorders spread across shards without sharing a cursor),
-// and snapshots merge the shards. The zero value is ready to use; a
-// nil pointer discards observations.
+// buckets, sharded like simnet's §5 counters: each recorder picks a
+// shard from a hash of its stack address (so concurrent recorders
+// spread across shards without sharing a cursor), and snapshots merge
+// the shards. The zero value is
+// ready to use; a nil pointer discards observations.
 type Histogram struct {
 	shards [histShards]histShard
 }
@@ -57,13 +59,18 @@ func bucketFor(ns int64) int {
 	return b
 }
 
-// shardIndex picks the recording shard from the caller's stack
-// address. Distinct goroutines occupy distinct stacks, so concurrent
-// recorders tend to land on distinct shards; unlike a shared cursor
-// this costs no cross-core write.
+// shardIndex picks the recording shard by hashing the caller's stack
+// address. A goroutine recording from one call site keeps landing on
+// the same shard, so its cache lines stay with the core it runs on,
+// while distinct goroutines — distinct stacks — spread over the
+// shards. The address is multiplied by the 64-bit golden ratio and the
+// top bits taken: goroutine stacks are aligned to their size, so the
+// low address bits repeat across goroutines (taking them directly
+// collapsed every grown stack onto one shard), but a Fibonacci hash
+// spreads addresses that differ only in their high bits.
 func shardIndex() int {
 	var probe byte
-	return int(uintptr(unsafe.Pointer(&probe)) >> 10 % histShards)
+	return int(uint64(uintptr(unsafe.Pointer(&probe))) * 0x9E3779B97F4A7C15 >> (64 - histShardBits))
 }
 
 // Observe records one latency observation in nanoseconds. Negative
@@ -76,7 +83,6 @@ func (h *Histogram) Observe(ns int64) {
 		ns = 0
 	}
 	s := &h.shards[shardIndex()]
-	s.count.Add(1)
 	s.sum.Add(uint64(ns))
 	s.buckets[bucketFor(ns)].Add(1)
 }
@@ -92,13 +98,13 @@ func (h *Histogram) snapshotPoint() HistogramPoint {
 	var buckets [histBuckets]uint64
 	for i := range h.shards {
 		s := &h.shards[i]
-		p.Count += s.count.Load()
 		p.Sum += s.sum.Load()
 		for b := range s.buckets {
 			buckets[b] += s.buckets[b].Load()
 		}
 	}
 	for b, c := range buckets {
+		p.Count += c
 		if c == 0 {
 			continue
 		}
@@ -115,7 +121,9 @@ func (h *Histogram) snapshotPoint() HistogramPoint {
 // property test.
 func (h *Histogram) shardTotals() (counts, sums [histShards]uint64) {
 	for i := range h.shards {
-		counts[i] = h.shards[i].count.Load()
+		for b := range h.shards[i].buckets {
+			counts[i] += h.shards[i].buckets[b].Load()
+		}
 		sums[i] = h.shards[i].sum.Load()
 	}
 	return counts, sums

@@ -137,3 +137,59 @@ func TestHistogramConcurrentMerge(t *testing.T) {
 		t.Fatalf("bucket total %d != merged count %d", bTot, p.Count)
 	}
 }
+
+// TestHistogramShardsSpreadGrownStacks: concurrent goroutines whose
+// stacks have grown (stacks are aligned to their size, which defeated
+// the old low-bits address sharding) spread their observations over at
+// least half the shards.
+func TestHistogramShardsSpreadGrownStacks(t *testing.T) {
+	const goroutines = 64
+	var h Histogram
+	var ready, done sync.WaitGroup
+	start := make(chan struct{})
+	ready.Add(goroutines)
+	done.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer done.Done()
+			growStack(64, func() {
+				// Every goroutine is alive, on its own grown stack, when
+				// any of them records.
+				ready.Done()
+				<-start
+				h.Observe(1)
+			})
+		}()
+	}
+	ready.Wait()
+	close(start)
+	done.Wait()
+	counts, _ := h.shardTotals()
+	used := 0
+	var total uint64
+	for _, c := range counts {
+		total += c
+		if c > 0 {
+			used++
+		}
+	}
+	if total != goroutines {
+		t.Fatalf("recorded %d observations, want %d", total, goroutines)
+	}
+	if used < 4 {
+		t.Fatalf("%d goroutines used %d of %d shards: %v", goroutines, used, histShards, counts)
+	}
+}
+
+// growStack recurses through depth 1 KiB frames, forcing the goroutine
+// onto a grown stack, then calls f from the deepest frame.
+func growStack(depth int, f func()) {
+	var pad [1024]byte
+	pad[depth%len(pad)] = byte(depth)
+	if depth == 0 {
+		f()
+		return
+	}
+	growStack(depth-1, f)
+	_ = pad[depth%len(pad)]
+}

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -81,12 +81,18 @@ type Observer struct {
 	spanSeq atomic.Uint64
 
 	mu      sync.Mutex
-	schemes map[string]*SchemeObs
-	repairs map[string]*RepairObs
+	schemes map[siteKey]*SchemeObs
+	repairs map[siteKey]*RepairObs
 	// repairFlags are the per-scheme/site repair-window flags shared
 	// between each SchemeObs (reader) and RepairObs (writer); see
 	// repairFlag in phase.go.
-	repairFlags map[string]*atomic.Bool
+	repairFlags map[siteKey]*atomic.Bool
+}
+
+// siteKey names one (scheme, site) pair in the observer's handle caches.
+type siteKey struct {
+	scheme string
+	site   protocol.SiteID
 }
 
 // spanIDs is one span's identity triple inside a trace tree.
@@ -115,12 +121,6 @@ func (o *Observer) newSpan(site protocol.SiteID, parent protocol.SpanContext) sp
 	return s
 }
 
-// withSpan stamps a span identity onto a trace event.
-func withSpan(sp spanIDs, e Event) Event {
-	e.TraceID, e.SpanID, e.ParentID = sp.TraceID, sp.SpanID, sp.ParentID
-	return e
-}
-
 // HandleHook returns an observer of served requests in the shape
 // site.Replica.SetHandleHook expects: it records a server-side handle
 // span in this process's trace ring, causally linked to the caller's
@@ -132,15 +132,17 @@ func (o *Observer) HandleHook(scheme string, site protocol.SiteID) func(ctx cont
 		return nil
 	}
 	return func(ctx context.Context, from protocol.SiteID, req protocol.Request) {
-		sp := o.newSpan(site, protocol.CtxSpan(ctx))
-		o.tracer.Emit(withSpan(sp, Event{
-			Scheme: scheme,
-			Site:   int(site),
-			Op:     protocol.CtxOp(ctx),
-			Kind:   EvHandle,
-			Block:  NoBlock,
-			Detail: fmt.Sprintf("req=%s from=%v", req.Kind(), from),
-		}))
+		o.tracer.record(&record{
+			spanIDs: o.newSpan(site, protocol.CtxSpan(ctx)),
+			scheme:  scheme,
+			site:    int32(site),
+			op:      protocol.CtxOp(ctx),
+			kind:    kHandle,
+			block:   NoBlock,
+			det:     detHandle,
+			str:     req.Kind(),
+			a:       int64(from),
+		})
 	}
 }
 
@@ -180,7 +182,7 @@ func New(opts ...Option) *Observer {
 	o := &Observer{
 		reg:     NewRegistry(),
 		clock:   cfg.clock,
-		schemes: make(map[string]*SchemeObs),
+		schemes: make(map[siteKey]*SchemeObs),
 	}
 	if cfg.traceCap > 0 {
 		o.tracer = NewTracer(cfg.traceCap, cfg.clock)
@@ -240,7 +242,7 @@ func (o *Observer) SchemeSite(scheme string, site protocol.SiteID) *SchemeObs {
 	if o == nil {
 		return nil
 	}
-	key := fmt.Sprintf("%s/%d", scheme, site)
+	key := siteKey{scheme, site}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if s, ok := o.schemes[key]; ok {
@@ -293,19 +295,10 @@ type SchemeObs struct {
 	wTransitions         *Counter
 	closures             *Counter
 
-	peerMu sync.RWMutex
-	peers  map[protocol.SiteID]*Histogram
-}
-
-// Label attaches the §5 operation label to ctx so the transport can
-// attribute this operation's traffic; with a nil receiver the context
-// passes through untouched (and unlabelled traffic costs nothing
-// extra).
-func (s *SchemeObs) Label(ctx context.Context, op string) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return protocol.WithOp(ctx, op)
+	// peers holds the fan-out RTT histogram of each destination, indexed
+	// by site ID and resolved on a destination's first round trip.
+	peerMu sync.Mutex
+	peers  [protocol.MaxSites]atomic.Pointer[Histogram]
 }
 
 // NoBlock marks spans and events not tied to a particular block
@@ -318,10 +311,12 @@ const NoBlock int64 = -1
 // only once the operation will actually run (past the availability
 // gate), so attempt counts line up with the §5 conformance brackets.
 //
-// When tracing is on the returned context carries the operation's
-// span, so transport calls made with it produce causally-linked child
-// spans (on remote sites too); without tracing the context passes
-// through unchanged.
+// The returned context carries one op context value: the §5 label op,
+// so the transport can attribute this operation's traffic; the phase
+// accumulator, so transports can charge wire time to the operation;
+// and, when tracing is on, the operation's span, so transport calls
+// made with it produce causally-linked child spans (on remote sites
+// too). A nil receiver passes the context through untouched.
 func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.Context, OpSpan) {
 	if s == nil {
 		return ctx, OpSpan{}
@@ -331,32 +326,45 @@ func (s *SchemeObs) StartOp(ctx context.Context, op string, blk int64) (context.
 		return ctx, OpSpan{}
 	}
 	s.attempts[i].Inc()
-	sp := OpSpan{s: s, op: op, idx: i, block: blk, start: s.o.now()}
-	sp.acc = &phaseAcc{s: s, op: i}
-	ctx = protocol.WithPhases(ctx, sp.acc)
+	oc := &opCtx{acc: phaseAcc{s: s}}
+	oc.Context, oc.Op, oc.Phases, oc.Span = ctx, op, &oc.acc, protocol.CtxSpan(ctx)
+	sp := OpSpan{s: s, acc: &oc.acc, idx: i, block: blk, start: s.o.now()}
 	if s.repairActive.Load() {
 		sp.interfered = true
 		s.duringRepair[i].Inc()
 	}
 	if s.o.tracer != nil {
-		sp.span = s.o.newSpan(s.site, protocol.CtxSpan(ctx))
-		ctx = protocol.WithSpan(ctx, protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID})
+		sp.span = s.o.newSpan(s.site, oc.Span)
+		oc.Span = protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID}
+		r := sp.record(kOpStart)
+		s.emit(&r)
 	}
-	s.emit(withSpan(sp.span, Event{Kind: EvOpStart, Op: op, Block: blk}))
-	return ctx, sp
+	return &oc.OpContext, sp
+}
+
+// An opCtx is the context node StartOp attaches: the operation's label,
+// span and phase recorder, with the phase accumulator the recorder
+// points at in the same allocation.
+type opCtx struct {
+	protocol.OpContext
+	acc phaseAcc
 }
 
 // An OpSpan is one in-flight operation. The zero value (from a nil
 // SchemeObs) is a valid no-op.
 type OpSpan struct {
 	s          *SchemeObs
-	op         string
+	acc        *phaseAcc
 	idx        int
 	block      int64
 	start      int64
 	span       spanIDs
-	acc        *phaseAcc
 	interfered bool
+}
+
+// record starts a trace record of kind k for this operation's span.
+func (sp *OpSpan) record(k uint8) record {
+	return record{spanIDs: sp.span, scheme: sp.s.scheme, site: int32(sp.s.site), kind: k, op: ops[sp.idx], block: sp.block}
 }
 
 // Done closes the span: outcome counters, participation, latency, and
@@ -371,7 +379,11 @@ func (sp OpSpan) Done(participants int, err error) {
 	}
 	if err != nil {
 		s.failures[sp.idx].Inc()
-		s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, Detail: "err=" + errClass(err)}))
+		if s.o.tracer != nil {
+			end := sp.record(kOpEnd)
+			end.det, end.str = detErr, classifyError(err)
+			s.emit(&end)
+		}
 		return
 	}
 	s.completions[sp.idx].Inc()
@@ -381,11 +393,10 @@ func (sp OpSpan) Done(participants int, err error) {
 	total := s.o.now() - sp.start
 	s.latency[sp.idx].Observe(total)
 	durs := sp.closePhases(total)
-	sp.emitPhases(durs)
 	if sp.interfered {
 		s.interference[sp.idx].Observe(total)
 	}
-	s.emit(withSpan(sp.span, Event{Kind: EvOpEnd, Op: sp.op, Block: sp.block, Detail: fmt.Sprintf("participants=%d", participants)}))
+	sp.emitClose(durs, participants)
 }
 
 // QuorumAssembled traces a voting quorum collection.
@@ -393,8 +404,8 @@ func (s *SchemeObs) QuorumAssembled(op string, idx block.Index, participants int
 	if s == nil || s.o.tracer == nil {
 		return
 	}
-	s.emit(Event{Kind: EvQuorumAssembled, Op: op, Block: int64(idx),
-		Detail: fmt.Sprintf("participants=%d weight=%d", participants, weight)})
+	s.emit(&record{kind: kQuorumAssembled, op: op, block: int64(idx),
+		det: detQuorum, a: int64(participants), b: weight})
 }
 
 // VersionResolved traces the version-resolution step of a quorum.
@@ -402,8 +413,8 @@ func (s *SchemeObs) VersionResolved(op string, idx block.Index, ver block.Versio
 	if s == nil || s.o.tracer == nil {
 		return
 	}
-	s.emit(Event{Kind: EvVersionResolved, Op: op, Block: int64(idx),
-		Detail: fmt.Sprintf("version=%d", uint64(ver))})
+	s.emit(&record{kind: kVersionResolved, op: op, block: int64(idx),
+		det: detVersion, a: int64(ver)})
 }
 
 // LazyRefresh records a voting read repairing a stale local copy from
@@ -413,8 +424,8 @@ func (s *SchemeObs) LazyRefresh(idx block.Index, src protocol.SiteID, ver block.
 		return
 	}
 	s.staleReads.Inc()
-	s.emit(Event{Kind: EvLazyRefresh, Op: protocol.OpRead, Block: int64(idx),
-		Detail: fmt.Sprintf("from=%v version=%d", src, uint64(ver))})
+	s.emit(&record{kind: kLazyRefresh, op: protocol.OpRead, block: int64(idx),
+		det: detLazyRefresh, a: int64(src), b: int64(ver)})
 }
 
 // WriteTwoRound records a completed write that took the classic
@@ -437,8 +448,8 @@ func (s *SchemeObs) WTransition(old, next protocol.SiteSet) {
 		return
 	}
 	s.wTransitions.Inc()
-	s.emit(Event{Kind: EvWTransition, Block: -1,
-		Detail: fmt.Sprintf("%v->%v", old, next)})
+	s.emit(&record{kind: kWTransition, block: NoBlock,
+		det: detWTransition, a: int64(old), b: int64(next)})
 }
 
 // ClosureRecomputed records an available copy recovery evaluating
@@ -449,22 +460,16 @@ func (s *SchemeObs) ClosureRecomputed(root, closure protocol.SiteSet, complete b
 		return
 	}
 	s.closures.Inc()
-	s.emit(Event{Kind: EvClosureRecomputed, Op: protocol.OpRecovery, Block: -1,
-		Detail: fmt.Sprintf("root=%v closure=%v complete=%t", root, closure, complete)})
+	s.emit(&record{kind: kClosureRecomputed, op: protocol.OpRecovery, block: NoBlock,
+		det: detClosure, a: int64(root), b: int64(closure), str: strconv.FormatBool(complete)})
 }
 
-// emit stamps the shared fields and forwards to the tracer (a no-op
-// when tracing is off).
-func (s *SchemeObs) emit(e Event) {
+// emit stamps the shared fields and records r (a no-op when tracing is
+// off).
+func (s *SchemeObs) emit(r *record) {
 	if s.o.tracer == nil {
 		return
 	}
-	e.Scheme = s.scheme
-	e.Site = int(s.site)
-	s.o.tracer.Emit(e)
-}
-
-// errClass names an error's failure class for trace details.
-func errClass(err error) string {
-	return classifyError(err)
+	r.scheme, r.site = s.scheme, int32(s.site)
+	s.o.tracer.record(r)
 }

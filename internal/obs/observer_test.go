@@ -22,10 +22,10 @@ func TestNilObserverAndSchemeObs(t *testing.T) {
 	}
 	// Every SchemeObs method must be a nil-receiver no-op.
 	ctx := context.Background()
-	if s.Label(ctx, protocol.OpWrite) != ctx {
-		t.Fatal("nil SchemeObs.Label altered the context")
+	got, sp := s.StartOp(ctx, protocol.OpWrite, 3)
+	if got != ctx {
+		t.Fatal("nil SchemeObs.StartOp altered the context")
 	}
-	_, sp := s.StartOp(context.Background(), protocol.OpWrite, 3)
 	sp.Done(2, nil)
 	sp.Done(0, errors.New("boom"))
 	s.QuorumAssembled(protocol.OpRead, 0, 2, 2)
@@ -121,11 +121,29 @@ func TestStartOpUnknownOp(t *testing.T) {
 	}
 }
 
+// TestLabelRoundTrip: StartOp's one context value answers all three
+// protocol readers, and a WithPhases override keeps the label and span.
 func TestLabelRoundTrip(t *testing.T) {
-	o := New()
+	o := New(WithTracing(16))
 	s := o.SchemeSite("naive", 0)
-	ctx := s.Label(context.Background(), protocol.OpRecovery)
+	ctx, sp := s.StartOp(context.Background(), protocol.OpRecovery, NoBlock)
+	defer sp.Done(1, nil)
 	if got := protocol.CtxOp(ctx); got != protocol.OpRecovery {
 		t.Fatalf("CtxOp = %q, want %q", got, protocol.OpRecovery)
+	}
+	span := protocol.CtxSpan(ctx)
+	if !span.Valid() {
+		t.Fatal("traced StartOp attached no span")
+	}
+	if protocol.CtxPhases(ctx) == nil {
+		t.Fatal("StartOp attached no phase recorder")
+	}
+	var rec protocol.PhaseRecorder = &phaseAcc{s: s}
+	over := protocol.WithPhases(ctx, rec)
+	if protocol.CtxPhases(over) != rec || protocol.CtxOp(over) != protocol.OpRecovery || protocol.CtxSpan(over) != span {
+		t.Fatal("WithPhases override lost the recorder, label or span")
+	}
+	if protocol.CtxPhases(ctx) == rec {
+		t.Fatal("WithPhases override leaked into the outer context")
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"relidev/internal/protocol"
@@ -90,7 +89,6 @@ func phaseIndex(phase string) int {
 // under one span.
 type phaseAcc struct {
 	s    *SchemeObs
-	op   int // ops index
 	sums [len(phases)]atomic.Int64
 }
 
@@ -116,27 +114,25 @@ func (a *phaseAcc) RecordPeerRTT(to protocol.SiteID, ns int64) {
 	a.s.peerRTT(to).Observe(ns)
 }
 
-// peerRTT resolves the fan-out RTT histogram for one destination,
-// cached per SchemeObs. The read path is an RLock map hit; creation
-// takes the registry path once per peer.
+// peerRTT resolves the fan-out RTT histogram for one destination. The
+// read path is one atomic load of the destination's slot; the first
+// round trip to a destination takes the registry path. A destination
+// outside the site ID range has no slot and goes to the registry each
+// time.
 func (s *SchemeObs) peerRTT(to protocol.SiteID) *Histogram {
-	s.peerMu.RLock()
-	h, ok := s.peers[to]
-	s.peerMu.RUnlock()
-	if ok {
-		return h
+	inRange := to >= 0 && int(to) < len(s.peers)
+	if inRange {
+		if h := s.peers[to].Load(); h != nil {
+			return h
+		}
 	}
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
-	if h, ok = s.peers[to]; ok {
-		return h
-	}
-	h = s.o.reg.Histogram(MetricPeerRTT,
+	h := s.o.reg.Histogram(MetricPeerRTT,
 		L("scheme", s.scheme), L("site", s.site.String()), L("peer", to.String()))
-	if s.peers == nil {
-		s.peers = make(map[protocol.SiteID]*Histogram)
+	if inRange {
+		s.peers[to].Store(h)
 	}
-	s.peers[to] = h
 	return h
 }
 
@@ -199,22 +195,35 @@ func (sp *OpSpan) closePhases(total int64) [len(phases)]int64 {
 	return durs
 }
 
-// emitPhases appends one EvPhase child span per non-zero phase to the
-// trace ring, so stitched trees carry the attribution (the span walker
-// in criticalpath.go reads them back).
-func (sp *OpSpan) emitPhases(durs [len(phases)]int64) {
+// emitClose records a completed operation's trace: one EvPhase child
+// span per non-zero phase, so stitched trees carry the attribution (the
+// span walker in criticalpath.go reads them back), then op_end. Each
+// record is stamped in turn and all of them enter the ring under one
+// lock.
+func (sp *OpSpan) emitClose(durs [len(phases)]int64, participants int) {
 	s := sp.s
-	if s.o.tracer == nil {
+	t := s.o.tracer
+	if t == nil {
 		return
 	}
+	var batch [len(phases) + 1]record
+	n := 0
 	for i, ns := range durs {
 		if ns <= 0 {
 			continue
 		}
-		child := s.o.newSpan(s.site, protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID})
-		s.emit(withSpan(child, Event{Kind: EvPhase, Op: sp.op, Block: sp.block,
-			Detail: fmt.Sprintf("phase=%s dur_ns=%d", phases[i], ns)}))
+		r := &batch[n]
+		*r = sp.record(kPhase)
+		r.spanIDs = s.o.newSpan(s.site, protocol.SpanContext{TraceID: sp.span.TraceID, SpanID: sp.span.SpanID})
+		r.det, r.str, r.a = detPhase, phases[i], ns
+		t.stamp(r)
+		n++
 	}
+	end := &batch[n]
+	*end = sp.record(kOpEnd)
+	end.det, end.a = detParticipants, int64(participants)
+	t.stamp(end)
+	t.storeAll(batch[:n+1])
 }
 
 // repairFlag returns the shared repair-window flag for one scheme/site
@@ -223,13 +232,13 @@ func (sp *OpSpan) emitPhases(durs [len(phases)]int64) {
 // repairer raising/lowering the window) hold the same *atomic.Bool.
 // Callers hold o.mu.
 func (o *Observer) repairFlag(scheme string, site protocol.SiteID) *atomic.Bool {
-	key := fmt.Sprintf("%s/%d", scheme, site)
+	key := siteKey{scheme, site}
 	if f, ok := o.repairFlags[key]; ok {
 		return f
 	}
 	f := new(atomic.Bool)
 	if o.repairFlags == nil {
-		o.repairFlags = make(map[string]*atomic.Bool)
+		o.repairFlags = make(map[siteKey]*atomic.Bool)
 	}
 	o.repairFlags[key] = f
 	return f
@@ -248,6 +257,6 @@ func (r *RepairObs) Active(on bool) {
 	if !on {
 		state = "closed"
 	}
-	r.emit(Event{Kind: EvRepairWindow, Op: protocol.OpRepair, Block: NoBlock,
-		Detail: "window=" + state})
+	r.emit(&record{kind: kRepairWindow, op: protocol.OpRepair, block: NoBlock,
+		det: detWindow, str: state})
 }

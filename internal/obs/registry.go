@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,25 +84,40 @@ type Label struct {
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // seriesKey renders name plus sorted labels into the canonical series
-// identity, e.g. `relidev_ops_total{op="write",scheme="voting"}`.
+// identity, e.g. `relidev_ops_total{op="write",scheme="voting"}`. It
+// runs once per series resolution, so it sorts label indexes in place
+// (label sets are a handful long) and quotes values with strconv into
+// one buffer, rendering the same bytes as fmt's %q.
 func seriesKey(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	sorted := make([]Label, len(labels))
-	copy(sorted, labels)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range sorted {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+	var idx [8]int
+	order := idx[:0]
+	if len(labels) > len(idx) {
+		order = make([]int, 0, len(labels))
 	}
-	b.WriteByte('}')
-	return b.String()
+	for i := range labels {
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && labels[order[j-1]].Key > labels[i].Key; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	var buf [128]byte
+	b := append(buf[:0], name...)
+	b = append(b, '{')
+	for n, i := range order {
+		if n > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, labels[i].Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, labels[i].Value)
+	}
+	b = append(b, '}')
+	return string(b)
 }
 
 // SeriesKey renders the canonical series identity for name+labels —

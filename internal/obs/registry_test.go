@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"relidev/internal/protocol"
 )
 
 func TestNilHandlesAreNoOps(t *testing.T) {
@@ -207,5 +211,58 @@ func TestWritePrometheusSynthesizesInfBucket(t *testing.T) {
 	sum := strings.Index(out, "relidev_small_ns_sum")
 	if !(fin < inf && inf < sum) {
 		t.Errorf("bucket ordering wrong (finite=%d inf=%d sum=%d):\n%s", fin, inf, sum, out)
+	}
+}
+
+// TestSeriesKeyMatchesFmt: the hand-built series key renders the same
+// bytes as sorting a copy of the labels and formatting each with %q,
+// including values that need escaping and label sets in any order.
+func TestSeriesKeyMatchesFmt(t *testing.T) {
+	reference := func(name string, labels []Label) string {
+		if len(labels) == 0 {
+			return name
+		}
+		sorted := append([]Label(nil), labels...)
+		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+		var b strings.Builder
+		b.WriteString(name + "{")
+		for i, l := range sorted {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		}
+		b.WriteByte('}')
+		return b.String()
+	}
+	long := make([]Label, 11)
+	for i := range long {
+		long[i] = L(fmt.Sprintf("k%02d", (i*7)%11), fmt.Sprint(i))
+	}
+	cases := [][]Label{
+		nil,
+		{L("site", "site0")},
+		{L("site", "site1"), L("scheme", "voting"), L("op", "write"), L("phase", "lock_wait")},
+		{L("z", `quote"back\slash`), L("a", "tab\tnewline\n"), L("m", "ünïcode ✓"), L("b", "\x00\x7f")},
+		long,
+	}
+	for _, labels := range cases {
+		if got, want := seriesKey("relidev_x_total", labels), reference("relidev_x_total", labels); got != want {
+			t.Errorf("seriesKey = %s, want %s", got, want)
+		}
+	}
+}
+
+// BenchmarkSiteObsSetup prices one metered site's observability setup
+// as the TCP site constructor does it: an observer with the default
+// trace ring, one scheme handle, and the metering transport wrapper
+// over three peers.
+func BenchmarkSiteObsSetup(b *testing.B) {
+	peers := []protocol.SiteID{0, 1, 2}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		o := New(WithTracing(4096))
+		o.SchemeSite("voting", 0)
+		WrapTransport(o, "rpc", nil, peers)
 	}
 }

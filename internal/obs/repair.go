@@ -49,7 +49,7 @@ func (o *Observer) Repair(scheme string, site protocol.SiteID) *RepairObs {
 	if o == nil {
 		return nil
 	}
-	key := fmt.Sprintf("repair/%s/%d", scheme, site)
+	key := siteKey{scheme, site}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if r, ok := o.repairs[key]; ok {
@@ -72,7 +72,7 @@ func (o *Observer) Repair(scheme string, site protocol.SiteID) *RepairObs {
 		rate:      o.reg.Gauge(MetricRepairRate, schemeLabel, siteLabel),
 	}
 	if o.repairs == nil {
-		o.repairs = make(map[string]*RepairObs)
+		o.repairs = make(map[siteKey]*RepairObs)
 	}
 	o.repairs[key] = r
 	return r
@@ -138,8 +138,10 @@ func (r *RepairObs) PageFetched(donor protocol.SiteID, installed, payloadBytes i
 	if payloadBytes > 0 {
 		r.bytes.Add(uint64(payloadBytes))
 	}
-	r.emit(Event{Kind: EvRepairPage, Op: protocol.OpRepair, Block: NoBlock,
-		Detail: fmt.Sprintf("donor=%v installed=%d bytes=%d", donor, installed, payloadBytes)})
+	if r.o.tracer != nil {
+		r.emit(&record{kind: kRepairPage, op: protocol.OpRepair, block: NoBlock,
+			det: detText, str: fmt.Sprintf("donor=%v installed=%d bytes=%d", donor, installed, payloadBytes)})
+	}
 }
 
 // Round records one discovery round (a summary broadcast).
@@ -167,8 +169,8 @@ func (r *RepairObs) Demoted(donor protocol.SiteID, reason string) {
 		return
 	}
 	r.demotions.Inc()
-	r.emit(Event{Kind: EvRepairDonor, Op: protocol.OpRepair, Block: NoBlock,
-		Detail: fmt.Sprintf("demoted donor=%v reason=%s", donor, reason)})
+	r.emit(&record{kind: kRepairDonor, op: protocol.OpRepair, block: NoBlock,
+		det: detDemoted, a: int64(donor), str: reason})
 }
 
 // Enlisted records the donor set selected at discovery.
@@ -176,8 +178,10 @@ func (r *RepairObs) Enlisted(donors []protocol.SiteID, stale int) {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Kind: EvRepairDonor, Op: protocol.OpRepair, Block: NoBlock,
-		Detail: fmt.Sprintf("enlisted donors=%v stale=%d", donors, stale)})
+	if r.o.tracer != nil {
+		r.emit(&record{kind: kRepairDonor, op: protocol.OpRepair, block: NoBlock,
+			det: detText, str: fmt.Sprintf("enlisted donors=%v stale=%d", donors, stale)})
+	}
 }
 
 // Inflight walks the per-donor outstanding-pages gauge by delta (+1 on
@@ -200,12 +204,12 @@ func (r *RepairObs) Inflight(donor protocol.SiteID, delta int) {
 	g.Add(int64(delta))
 }
 
-// emit forwards a trace event (no-op when tracing is off).
-func (r *RepairObs) emit(e Event) {
+// emit stamps the shared fields and records rec (a no-op when tracing
+// is off).
+func (r *RepairObs) emit(rec *record) {
 	if r.o.tracer == nil {
 		return
 	}
-	e.Scheme = r.scheme
-	e.Site = int(r.site)
-	r.o.tracer.Emit(e)
+	rec.scheme, rec.site = r.scheme, int32(r.site)
+	r.o.tracer.record(rec)
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"relidev/internal/protocol"
 )
 
 func TestTracerNil(t *testing.T) {
@@ -42,6 +45,25 @@ func TestTracerRing(t *testing.T) {
 		if evs[i].At <= evs[i-1].At {
 			t.Fatalf("timestamps not increasing: %d then %d", evs[i-1].At, evs[i].At)
 		}
+	}
+}
+
+// TestTracerRingGrowsToCapacity: the ring starts small, grows as events
+// arrive, and never holds more slots than its capacity.
+func TestTracerRingGrowsToCapacity(t *testing.T) {
+	tr := NewTracer(1000, NewLogicalClock(1).Now)
+	tr.Emit(Event{Kind: EvOpStart})
+	if c := cap(tr.ring); c > 64 {
+		t.Fatalf("one event reserved %d slots", c)
+	}
+	for i := 0; i < 2500; i++ {
+		tr.Emit(Event{Kind: EvOpStart, Block: int64(i)})
+	}
+	if c := cap(tr.ring); c != 1000 {
+		t.Fatalf("full ring has %d slots, want its capacity 1000", c)
+	}
+	if evs := tr.Events(); len(evs) != 1000 || evs[999].Block != 2499 || tr.Dropped() != 1501 {
+		t.Fatalf("retained %d events (last block %d), dropped %d", len(evs), evs[len(evs)-1].Block, tr.Dropped())
 	}
 }
 
@@ -184,5 +206,100 @@ func TestStitchDeterministicOrder(t *testing.T) {
 	// Equal-start children tie-break by SpanID.
 	if a[0].Root.Children[0].SpanID != 2 || a[0].Root.Children[1].SpanID != 3 {
 		t.Fatalf("child order = %+v", a[0].Root.Children)
+	}
+}
+
+// TestRecordNoLargerThanEvent: the ring's compact record costs no more
+// memory per slot than the Event it renders to.
+func TestRecordNoLargerThanEvent(t *testing.T) {
+	if r, e := unsafe.Sizeof(record{}), unsafe.Sizeof(Event{}); r > e {
+		t.Fatalf("record is %d bytes, Event %d", r, e)
+	}
+}
+
+// TestDetailRenderMatchesSprintf: every lazily rendered detail kind
+// produces the bytes of the fmt.Sprintf it replaces, and an rpc span
+// ended with an error gains the same " err=<class>" suffix.
+func TestDetailRenderMatchesSprintf(t *testing.T) {
+	const (
+		site  = protocol.SiteID(3)
+		root  = protocol.SiteSet(0b1011)
+		wt    = int64(-7)
+		dests = 4
+	)
+	// Values above MaxInt64 must render unsigned.
+	ver, clos := uint64(1<<63+5), protocol.SiteSet(1<<63|1)
+	req := protocol.PrepareWriteRequest{}
+	cases := []struct {
+		name string
+		r    record
+		want string
+	}{
+		{"none", record{}, ""},
+		{"text", record{det: detText, str: "donor=site1 installed=3 bytes=96"}, "donor=site1 installed=3 bytes=96"},
+		{"handle", record{det: detHandle, str: req.Kind(), a: int64(site)}, fmt.Sprintf("req=%s from=%v", req.Kind(), site)},
+		{"call", record{det: detCall, str: req.Kind(), a: int64(site)}, fmt.Sprintf("call to=%v req=%s", site, req.Kind())},
+		{"fetch", record{det: detFetch, str: req.Kind(), a: int64(site)}, fmt.Sprintf("fetch to=%v req=%s", site, req.Kind())},
+		{"broadcast", record{det: detBroadcast, str: req.Kind(), a: dests}, fmt.Sprintf("broadcast dests=%d req=%s", dests, req.Kind())},
+		{"notify", record{det: detNotify, str: req.Kind(), a: dests}, fmt.Sprintf("notify dests=%d req=%s", dests, req.Kind())},
+		{"op err", record{det: detErr, str: ClassUnreachable}, "err=" + ClassUnreachable},
+		{"participants", record{det: detParticipants, a: 5}, fmt.Sprintf("participants=%d", 5)},
+		{"quorum", record{det: detQuorum, a: 3, b: wt}, fmt.Sprintf("participants=%d weight=%d", 3, wt)},
+		{"version", record{det: detVersion, a: int64(ver)}, fmt.Sprintf("version=%d", ver)},
+		{"lazy refresh", record{det: detLazyRefresh, a: int64(site), b: int64(ver)}, fmt.Sprintf("from=%v version=%d", site, ver)},
+		{"w transition", record{det: detWTransition, a: int64(root), b: int64(clos)}, fmt.Sprintf("%v->%v", root, clos)},
+		{"closure", record{det: detClosure, a: int64(root), b: int64(clos), str: "false"}, fmt.Sprintf("root=%v closure=%v complete=%t", root, clos, false)},
+		{"phase", record{det: detPhase, str: protocol.PhaseStraggler, a: 12345}, fmt.Sprintf("phase=%s dur_ns=%d", protocol.PhaseStraggler, 12345)},
+		{"window", record{det: detWindow, str: "closed"}, "window=" + "closed"},
+		{"demoted", record{det: detDemoted, a: int64(site), str: "retries exhausted"}, fmt.Sprintf("demoted donor=%v reason=%s", site, "retries exhausted")},
+	}
+	for _, c := range cases {
+		if got := c.r.detail(); got != c.want {
+			t.Errorf("%s: detail %q, want %q", c.name, got, c.want)
+		}
+	}
+
+	// rpc spans, as MeteredTransport records them, with and without an
+	// error suffix.
+	tr := NewTracer(16, NewLogicalClock(1).Now)
+	fail := fmt.Errorf("wrapped: %w", protocol.ErrSiteDown)
+	for _, c := range []struct {
+		det  uint8
+		a    int64
+		err  error
+		want string
+	}{
+		{detCall, int64(site), nil, fmt.Sprintf("call to=%v req=%s", site, req.Kind())},
+		{detFetch, int64(site), fail, fmt.Sprintf("fetch to=%v req=%s", site, req.Kind()) + " err=" + ClassDown},
+		{detBroadcast, dests, nil, fmt.Sprintf("broadcast dests=%d req=%s", dests, req.Kind())},
+		{detNotify, dests, fail, fmt.Sprintf("notify dests=%d req=%s", dests, req.Kind()) + " err=" + ClassDown},
+	} {
+		span := rpcSpan{t: tr, r: record{kind: kRPC, det: c.det, a: c.a, str: req.Kind()}}
+		span.end(c.err)
+		evs := tr.Events()
+		if got := evs[len(evs)-1]; got.Kind != EvRPC || got.Detail != c.want {
+			t.Errorf("rpc span event %s %q, want %s %q", got.Kind, got.Detail, EvRPC, c.want)
+		}
+	}
+}
+
+// TestEmitKeepsLiteralEvents: an event emitted whole keeps its kind and
+// detail exactly, including a kind outside the package's table.
+func TestEmitKeepsLiteralEvents(t *testing.T) {
+	tr := NewTracer(8, NewLogicalClock(1).Now)
+	in := []Event{
+		{TraceID: 1, SpanID: 2, ParentID: 3, Scheme: "ac", Site: 2, Op: "write", Kind: EvHandle, Block: 9, Detail: "req=put from=site1"},
+		{Site: 1, Kind: EvOpStart, Block: NoBlock},
+		{Site: 4, Kind: "custom_kind", Op: "compact", Block: 1, Detail: "a\x00b"},
+	}
+	for _, e := range in {
+		tr.Emit(e)
+	}
+	out := tr.Events()
+	for i, e := range in {
+		e.Seq, e.At = out[i].Seq, out[i].At
+		if out[i] != e {
+			t.Errorf("event %d = %+v, want %+v", i, out[i], e)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
 	"relidev/internal/protocol"
@@ -212,47 +211,62 @@ func (t *MeteredTransport) roundTrip(m int, rec protocol.PhaseRecorder, to proto
 	return resp, err
 }
 
+// An rpcSpan is a client-side rpc span opened by traceCall. The zero
+// value (tracing off) records nothing.
+type rpcSpan struct {
+	t *Tracer
+	r record
+}
+
 // traceCall opens a client-side rpc span under the caller's operation
 // span when tracing is on: the returned context carries the new span
 // (so the remote site's handle span links to it, through simnet's
-// shared context or rpcnet's wire trace field) and the returned closer
-// emits the span's trace event with the outcome. Without tracing the
-// context passes through and the closer is nil.
-func (t *MeteredTransport) traceCall(ctx context.Context, from protocol.SiteID, detail string) (context.Context, func(err error)) {
-	if t.o.tracer == nil {
-		return ctx, nil
+// shared context or rpcnet's wire trace field) and the returned span's
+// end records the trace event with the outcome. det and n are the
+// detail code and its count argument (destination site or fan-out
+// width). Without tracing the context passes through and nothing is
+// built.
+func (t *MeteredTransport) traceCall(ctx context.Context, from protocol.SiteID, det uint8, n int, req protocol.Request) (context.Context, rpcSpan) {
+	tr := t.o.tracer
+	if tr == nil {
+		return ctx, rpcSpan{}
 	}
 	sp := t.o.newSpan(from, protocol.CtxSpan(ctx))
 	ctx = protocol.WithSpan(ctx, protocol.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID})
-	op := protocol.CtxOp(ctx)
-	return ctx, func(err error) {
-		if err != nil {
-			detail += " err=" + classifyError(err)
-		}
-		t.o.tracer.Emit(withSpan(sp, Event{Site: int(from), Op: op, Kind: EvRPC, Block: NoBlock, Detail: detail}))
+	return ctx, rpcSpan{t: tr, r: record{
+		spanIDs: sp, site: int32(from), op: protocol.CtxOp(ctx), kind: kRPC, block: NoBlock,
+		det: det, a: int64(n), str: req.Kind(),
+	}}
+}
+
+// end records the span with the call's outcome; a failed call's detail
+// gains an " err=<class>" suffix.
+func (s *rpcSpan) end(err error) {
+	if s.t == nil {
+		return
 	}
+	if err != nil {
+		s.r.det, s.r.str = detText, s.r.detail()+" err="+classifyError(err)
+	}
+	s.t.record(&s.r)
 }
 
 // Call implements protocol.Transport.
 func (t *MeteredTransport) Call(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
-	ctx, end := t.traceCall(ctx, from, fmt.Sprintf("call to=%v req=%s", to, req.Kind()))
+	ctx, span := t.traceCall(ctx, from, detCall, int(to), req)
 	return t.roundTrip(mCall, protocol.CtxPhases(ctx), to, func() (protocol.Response, error) {
 		resp, err := t.inner.Call(ctx, from, to, req)
-		if end != nil {
-			end(err)
-		}
+		span.end(err)
 		return resp, err
 	})
 }
 
 // Fetch implements protocol.Transport.
 func (t *MeteredTransport) Fetch(ctx context.Context, from, to protocol.SiteID, req protocol.Request) (protocol.Response, error) {
-	ctx, end := t.traceCall(ctx, from, fmt.Sprintf("fetch to=%v req=%s", to, req.Kind()))
+	ctx, span := t.traceCall(ctx, from, detFetch, int(to), req)
 	return t.roundTrip(mFetch, protocol.CtxPhases(ctx), to, func() (protocol.Response, error) {
 		resp, err := t.inner.Fetch(ctx, from, to, req)
-		if end != nil {
-			end(err)
-		}
+		span.end(err)
 		return resp, err
 	})
 }
@@ -281,12 +295,10 @@ func (t *MeteredTransport) fanOut(m int, rec protocol.PhaseRecorder, results map
 func (t *MeteredTransport) Broadcast(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
 	mm := &t.methods[mBroadcast]
 	mm.ops.Inc()
-	ctx, end := t.traceCall(ctx, from, fmt.Sprintf("broadcast dests=%d req=%s", len(dests), req.Kind()))
+	ctx, span := t.traceCall(ctx, from, detBroadcast, len(dests), req)
 	start := t.o.now()
 	out := t.fanOut(mBroadcast, protocol.CtxPhases(ctx), t.inner.Broadcast(ctx, from, dests, req), start)
-	if end != nil {
-		end(nil)
-	}
+	span.end(nil)
 	return out
 }
 
@@ -294,11 +306,9 @@ func (t *MeteredTransport) Broadcast(ctx context.Context, from protocol.SiteID, 
 func (t *MeteredTransport) Notify(ctx context.Context, from protocol.SiteID, dests []protocol.SiteID, req protocol.Request) map[protocol.SiteID]protocol.Result {
 	mm := &t.methods[mNotify]
 	mm.ops.Inc()
-	ctx, end := t.traceCall(ctx, from, fmt.Sprintf("notify dests=%d req=%s", len(dests), req.Kind()))
+	ctx, span := t.traceCall(ctx, from, detNotify, len(dests), req)
 	start := t.o.now()
 	out := t.fanOut(mNotify, protocol.CtxPhases(ctx), t.inner.Notify(ctx, from, dests, req), start)
-	if end != nil {
-		end(nil)
-	}
+	span.end(nil)
 	return out
 }

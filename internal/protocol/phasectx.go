@@ -42,17 +42,19 @@ type PhaseRecorder interface {
 	RecordPeerRTT(to SiteID, ns int64)
 }
 
-type phaseCtxKey struct{}
-
 // WithPhases attaches a phase recorder to ctx for the enclosed
-// operation.
+// operation, replacing any recorder an outer layer attached.
 func WithPhases(ctx context.Context, r PhaseRecorder) context.Context {
-	return context.WithValue(ctx, phaseCtxKey{}, r)
+	oc := deriveOp(ctx)
+	oc.Phases = r
+	return oc
 }
 
 // CtxPhases returns the phase recorder attached by WithPhases, or nil
 // when the operation is unattributed.
 func CtxPhases(ctx context.Context) PhaseRecorder {
-	r, _ := ctx.Value(phaseCtxKey{}).(PhaseRecorder)
-	return r
+	if oc := opContextOf(ctx); oc != nil {
+		return oc.Phases
+	}
+	return nil
 }

@@ -21,17 +21,19 @@ type SpanContext struct {
 // Valid reports whether the context names a live trace.
 func (sc SpanContext) Valid() bool { return sc.TraceID != 0 && sc.SpanID != 0 }
 
-type spanCtxKey struct{}
-
 // WithSpan attaches a trace span context to ctx. Transport decorators
 // and the wire layer propagate it alongside the WithOp label.
 func WithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, sc)
+	oc := deriveOp(ctx)
+	oc.Span = sc
+	return oc
 }
 
 // CtxSpan returns the span context attached by WithSpan; the zero
 // SpanContext (Valid() == false) means the caller is untraced.
 func CtxSpan(ctx context.Context) SpanContext {
-	sc, _ := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc
+	if oc := opContextOf(ctx); oc != nil {
+		return oc.Span
+	}
+	return SpanContext{}
 }

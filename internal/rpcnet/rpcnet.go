@@ -776,11 +776,12 @@ func (c *Client) Broadcast(ctx context.Context, from protocol.SiteID, dests []pr
 				t0 = rec.Now()
 			}
 			resp, err := c.roundTrip(ctx, to, req)
-			rm.Lock()
-			out[to] = protocol.Result{Resp: resp, Err: err}
 			if rec != nil {
+				// Each leg owns its slot of durs: no lock needed.
 				durs[i] = rec.Now() - t0
 			}
+			rm.Lock()
+			out[to] = protocol.Result{Resp: resp, Err: err}
 			rm.Unlock()
 		}(i, to)
 	}

@@ -589,11 +589,12 @@ func (n *Network) deliver(ctx context.Context, from protocol.SiteID, dests []pro
 				t0 = rec.Now()
 			}
 			res := n.deliverOne(ctx, from, to, req, countReplies, opIdx)
-			rm.Lock()
-			results[to] = res
 			if rec != nil {
+				// Each leg owns its slot of durs: no lock needed.
 				durs[i] = rec.Now() - t0
 			}
+			rm.Lock()
+			results[to] = res
 			rm.Unlock()
 		}(i, to)
 	}

@@ -204,7 +204,6 @@ func (c *Controller) Read(ctx context.Context, idx block.Index) (_ []byte, err e
 	c.locks.LockOp(idx)
 	defer c.locks.UnlockOp(idx)
 	lockWait := ob.Now() - lockT0
-	ctx = ob.Label(ctx, protocol.OpRead)
 	ctx, sp := ob.StartOp(ctx, protocol.OpRead, int64(idx))
 	sp.AddLockWait(lockWait)
 	participants := 0
@@ -315,7 +314,6 @@ func (c *Controller) Write(ctx context.Context, idx block.Index, data []byte) (e
 	c.locks.LockOp(idx)
 	defer c.locks.UnlockOp(idx)
 	lockWait := ob.Now() - lockT0
-	ctx = ob.Label(ctx, protocol.OpWrite)
 	ctx, sp := ob.StartOp(ctx, protocol.OpWrite, int64(idx))
 	sp.AddLockWait(lockWait)
 	participants := 0
@@ -541,7 +539,6 @@ func (c *Controller) Recover(ctx context.Context) (err error) {
 	defer c.locks.UnlockRecovery()
 	lockWait := ob.Now() - lockT0
 	self := c.env.Self
-	ctx = ob.Label(ctx, protocol.OpRecovery)
 	ctx, sp := ob.StartOp(ctx, protocol.OpRecovery, obs.NoBlock)
 	sp.AddLockWait(lockWait)
 	participants := 1

@@ -237,9 +237,9 @@ func WithSimulatedLatency(d time.Duration) Option {
 // WithMetering attaches the observability layer to the cluster:
 // per-scheme/site/op counters, latency histograms, and transport
 // metering. Read the result through MetricsJSON or mount DebugHandler.
-// The instrumentation path is contention-free (striped counters,
-// sharded histograms), so metered clusters stay within a few percent
-// of unmetered throughput; BENCH_obs.json records the measured delta.
+// The instrumentation path takes no lock (pre-resolved atomic
+// counters, sharded histograms); EXPERIMENTS.md "Metering overhead"
+// records what it costs per operation.
 func WithMetering() Option {
 	return func(o *options) { o.metered = true }
 }

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"relidev/internal/availcopy"
@@ -108,7 +109,11 @@ type RemoteSite struct {
 	flight    *flight.Recorder
 	tsdb      *tsdb.DB
 	slo       *slo.Engine
-	stopPoll  chan struct{}
+	// stopPoll ends the telemetry poller. It is set once, before the
+	// poller starts, and never reassigned (the poller reads it
+	// concurrently); stopOnce makes Close's close of it idempotent.
+	stopPoll chan struct{}
+	stopOnce sync.Once
 }
 
 // OpenRemote starts a site: it opens (or creates) the local store,
@@ -479,8 +484,7 @@ func (r *RemoteSite) FetchFrom(ctx context.Context, siteID int, idx int) ([]byte
 // connections, store.
 func (r *RemoteSite) Close() error {
 	if r.stopPoll != nil {
-		close(r.stopPoll)
-		r.stopPoll = nil
+		r.stopOnce.Do(func() { close(r.stopPoll) })
 	}
 	errServer := r.server.Close()
 	errClient := r.client.Close()
